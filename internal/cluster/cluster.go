@@ -415,7 +415,7 @@ const (
 )
 
 // simPool recycles simulators across runs: Sim.Reset reuses the event
-// pool, queue buckets and scratch arenas a previous run grew, so
+// pool, queue chunks and scratch arenas a previous run grew, so
 // benchmark iterations and RunMany sweeps stop re-growing megabytes of
 // scheduler state per run. Reset restores the exact just-constructed
 // state, so results are identical whether a Sim is fresh or reused (the

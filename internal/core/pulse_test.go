@@ -34,8 +34,8 @@ func (c *countingSB) Stop()            {}
 // closure-free pulse events carry the generation they were scheduled
 // under), and that wakeup must neither fire a pulse nor reschedule itself
 // — otherwise every crash-recovery would leave two proposal loops running
-// on the instance, doubling its pulse rate forever. Runs against both
-// scheduler queues.
+// on the instance, doubling its pulse rate forever. Runs against the
+// default (radix) queue and the reference heap.
 func TestPulseStaleWakeupAfterRecover(t *testing.T) {
 	for _, q := range []struct {
 		name string

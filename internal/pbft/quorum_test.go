@@ -66,9 +66,9 @@ func (dropTransport) Send(to, size int, msg Message)  {}
 // an already-scheduled wakeup (a delivery reset timeoutMult after a view
 // change doubled it), the detector must still fire at the new, earlier
 // deadline rather than waiting for the stale wakeup. The timer re-arm
-// audit for the scheduler overhaul runs it against both queue
-// implementations — the detector's stale-wakeup logic must not depend on
-// which queue delivers the wakeups.
+// audit for the scheduler overhaul runs it against the default (radix)
+// queue and the reference heap — the detector's stale-wakeup logic must
+// not depend on which queue delivers the wakeups.
 func TestProgressDetectorTracksShrinkingDeadline(t *testing.T) {
 	for _, q := range []struct {
 		name string

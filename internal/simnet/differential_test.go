@@ -1,19 +1,20 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-// Differential tests: the timing-wheel queue and the reference heap must
-// produce the identical pop order for every (at, ord) workload — the
-// wheel's whole correctness argument reduces to "indistinguishable from
-// the heap". The canonical ord key is not monotone in push order, so the
-// workloads deliberately interleave sources and affinities to hit the
-// wheel's in-lane ordered-insert paths (head replacement, mid-lane, tail
-// append).
+// Differential tests: the radix queue and the reference heap must produce
+// the identical pop order for every (at, ord) workload — the radix
+// queue's whole correctness argument reduces to "indistinguishable from
+// the heap". The canonical ord key is not monotone in push order, and
+// NextAt peeks and early-stopping Run(until) calls let a push land behind
+// the window the queue has advanced to, so the workloads deliberately
+// interleave sources and affinities and push after peeks and early stops.
 
 // popAll drains q and returns the (at, ord) sequence observed.
 func popAll(q eventQueue) [][2]uint64 {
@@ -42,67 +43,148 @@ func (g *ordGen) next() uint64 {
 	return makeOrd(dst, src, g.cnts[src+1])
 }
 
+// queuePair drives the radix queue and the reference heap in lockstep,
+// failing on the first divergence. clock follows the popped events the
+// way Sim.now does; pushes are relative to it.
+type queuePair struct {
+	tb    testing.TB
+	label string
+	q     *radixQueue
+	ref   *heapQueue
+	clock Time
+}
+
+func newQueuePair(tb testing.TB, label string) *queuePair {
+	return &queuePair{tb: tb, label: label, q: &radixQueue{}, ref: &heapQueue{}}
+}
+
+func (p *queuePair) push(at Time, ord uint64) {
+	p.q.push(&event{at: at, ord: ord})
+	p.ref.push(&event{at: at, ord: ord})
+	p.checkLen()
+}
+
+func (p *queuePair) checkLen() {
+	if p.q.len() != p.ref.len() {
+		p.tb.Fatalf("%s: length diverged: radix %d heap %d", p.label, p.q.len(), p.ref.len())
+	}
+}
+
+// same fails unless both queues returned the same event key (or both nil)
+// and advances the clock past a popped one.
+func (p *queuePair) same(op string, qe, he *event, advance bool) bool {
+	p.tb.Helper()
+	if (qe == nil) != (he == nil) {
+		p.tb.Fatalf("%s: %s emptiness diverged: radix %v heap %v", p.label, op, qe != nil, he != nil)
+	}
+	if qe == nil {
+		return false
+	}
+	if qe.at != he.at || qe.ord != he.ord {
+		p.tb.Fatalf("%s: %s diverged: radix (%d,%d) heap (%d,%d)", p.label, op, qe.at, qe.ord, he.at, he.ord)
+	}
+	if advance && qe.at > p.clock {
+		p.clock = qe.at
+	}
+	return true
+}
+
+func (p *queuePair) pop() bool {
+	ok := p.same("pop", p.q.pop(), p.ref.pop(), true)
+	p.checkLen()
+	return ok
+}
+
+func (p *queuePair) peek() bool { return p.same("peek", p.q.peek(), p.ref.peek(), false) }
+
+// runUntil mimics Sim.Run(until): pop while due, then park the clock at
+// until when the queue stopped early.
+func (p *queuePair) runUntil(until Time) {
+	for p.same("popLE", p.q.popLE(until), p.ref.popLE(until), true) {
+		p.checkLen()
+	}
+	if p.clock < until {
+		p.clock = until
+	}
+}
+
+func (p *queuePair) drain() {
+	w, h := popAll(p.q), popAll(p.ref)
+	if len(w) != len(h) {
+		p.tb.Fatalf("%s: drained %d vs %d events", p.label, len(w), len(h))
+	}
+	for i := range w {
+		if w[i] != h[i] {
+			p.tb.Fatalf("%s: drain diverged at %d: radix (%d,%d) heap (%d,%d)",
+				p.label, i, w[i][0], w[i][1], h[i][0], h[i][1])
+		}
+	}
+}
+
 // TestQueueDifferentialPopOrder drives both queue implementations through
 // identical randomized push/pop interleavings — clustered timestamps,
-// same-timestamp lanes with out-of-order keys, sparse far-future outliers
-// that force the wheel's year wraparound, and mid-stream pops — and
-// asserts the popped (at, ord) sequences match element for element.
+// same-timestamp lanes with out-of-order keys, sparse far-future outliers,
+// NIC-style spreads seconds ahead, pushes right after a peek (the NextAt
+// path) and after Run(until) stopped early, and mid-stream pops — then
+// through 10k-event same-timestamp runs pushed in ascending and in
+// descending ord, and asserts the popped (at, ord) sequences match
+// element for element.
 func TestQueueDifferentialPopOrder(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		wheel := newWheelQueue()
-		ref := &heapQueue{}
+		p := newQueuePair(t, fmt.Sprintf("seed %d", seed))
 		gen := &ordGen{rng: rng}
-		var clock Time
 		n := 200 + rng.Intn(800)
-		push := func(at Time) {
-			ord := gen.next()
-			wheel.push(&event{at: at, ord: ord})
-			ref.push(&event{at: at, ord: ord})
-		}
 		for i := 0; i < n; i++ {
-			switch rng.Intn(10) {
-			case 0: // far-future outlier (timer-like): exercises year wrap
-				push(clock + Time(rng.Int63n(int64(20*time.Second))))
+			switch rng.Intn(13) {
+			case 0: // far-future outlier (timer-like)
+				p.push(p.clock+Time(rng.Int63n(int64(20*time.Second))), gen.next())
 			case 1, 2: // same-timestamp lane with interleaved sources
-				at := clock + Time(rng.Intn(1000))
+				at := p.clock + Time(rng.Intn(1000))
 				for j := 0; j < 1+rng.Intn(5); j++ {
-					push(at)
+					p.push(at, gen.next())
 				}
 			case 3: // interleaved pop run: advances the clock like Step does
-				for j := 0; j < rng.Intn(8); j++ {
-					we, he := wheel.pop(), ref.pop()
-					if (we == nil) != (he == nil) {
-						t.Fatalf("seed %d: pop emptiness diverged", seed)
-					}
-					if we == nil {
-						break
-					}
-					if we.at != he.at || we.ord != he.ord {
-						t.Fatalf("seed %d: pop diverged: wheel (%d,%d) heap (%d,%d)",
-							seed, we.at, we.ord, he.at, he.ord)
-					}
-					if we.at > clock {
-						clock = we.at
-					}
+				for j := 0; j < rng.Intn(8) && p.pop(); j++ {
+				}
+			case 4: // NextAt: peek (the queue may advance its window), then push behind it
+				p.peek()
+				for j := 0; j < 1+rng.Intn(4); j++ {
+					p.push(p.clock+Time(rng.Intn(2000)), gen.next())
+				}
+			case 5: // Run(until) stops early, then the caller pushes at the parked clock
+				p.runUntil(p.clock + Time(rng.Int63n(int64(2*time.Millisecond))))
+				for j := 0; j < 1+rng.Intn(4); j++ {
+					p.push(p.clock+Time(rng.Intn(100_000)), gen.next())
+				}
+			case 6: // NIC spread: a serialized burst queued seconds ahead
+				at := p.clock + Time(rng.Int63n(int64(4*time.Second)))
+				for j := 0; j < 1+rng.Intn(30); j++ {
+					at += Time(1 + rng.Intn(20_000))
+					p.push(at, gen.next())
 				}
 			default: // clustered deliveries around the clock
-				push(clock + Time(rng.Int63n(int64(300*time.Millisecond))))
-			}
-			if wheel.len() != ref.len() {
-				t.Fatalf("seed %d: length diverged: wheel %d heap %d", seed, wheel.len(), ref.len())
+				p.push(p.clock+Time(rng.Int63n(int64(300*time.Millisecond))), gen.next())
 			}
 		}
-		w, h := popAll(wheel), popAll(ref)
-		if len(w) != len(h) {
-			t.Fatalf("seed %d: drained %d vs %d events", seed, len(w), len(h))
-		}
-		for i := range w {
-			if w[i] != h[i] {
-				t.Fatalf("seed %d: drain diverged at %d: wheel (%d,%d) heap (%d,%d)",
-					seed, i, w[i][0], w[i][1], h[i][0], h[i][1])
+		p.drain()
+	}
+	for _, descending := range []bool{false, true} {
+		p := newQueuePair(t, fmt.Sprintf("10k-run descending=%v", descending))
+		for round := 0; round < 3; round++ {
+			at := p.clock + Time(100*time.Millisecond)
+			for i := 0; i < 10_000; i++ {
+				node, cnt := i/100, uint64(round*10_000+i+1)
+				if descending {
+					node, cnt = 99-node, uint64(round*10_000+10_000-i)
+				}
+				p.push(at, makeOrd(node, node, cnt))
+			}
+			// Interleave a few pops so later rounds land behind a live run.
+			for j := 0; j < 2500 && p.pop(); j++ {
 			}
 		}
+		p.drain()
 	}
 }
 
@@ -111,7 +193,7 @@ func TestQueueDifferentialPopOrder(t *testing.T) {
 // and huge gaps both occur) must drain identically from both queues.
 func TestQueueDifferentialQuick(t *testing.T) {
 	f := func(offsets []uint32, popEvery uint8) bool {
-		wheel := newWheelQueue()
+		radix := &radixQueue{}
 		ref := &heapQueue{}
 		gen := &ordGen{rng: rand.New(rand.NewSource(int64(popEvery)))}
 		var clock Time
@@ -119,10 +201,10 @@ func TestQueueDifferentialQuick(t *testing.T) {
 		for i, off := range offsets {
 			at := clock + Time(uint64(off)*uint64(1+i%3))
 			ord := gen.next()
-			wheel.push(&event{at: at, ord: ord})
+			radix.push(&event{at: at, ord: ord})
 			ref.push(&event{at: at, ord: ord})
 			if i%step == 0 {
-				we, he := wheel.pop(), ref.pop()
+				we, he := radix.pop(), ref.pop()
 				if we == nil || he == nil || we.at != he.at || we.ord != he.ord {
 					return false
 				}
@@ -131,7 +213,7 @@ func TestQueueDifferentialQuick(t *testing.T) {
 				}
 			}
 		}
-		w, h := popAll(wheel), popAll(ref)
+		w, h := popAll(radix), popAll(ref)
 		if len(w) != len(h) {
 			return false
 		}
@@ -157,8 +239,10 @@ type traceStamp struct {
 
 // simTrace runs a deterministic mixed workload — network deliveries with
 // reentrant sends, node-pinned scheduling, plain callbacks, cancelled
-// timers, a mid-run Halt with resumption, and a Reset that reuses pooled
-// nodes for a second round — and returns the execution trace.
+// timers, an early-stopping Run(until) and a NextAt peek followed by
+// pushes behind the peeked event, a mid-run Halt with resumption, and a
+// Reset that reuses pooled nodes for a second round — and returns the
+// execution trace.
 func simTrace(kind QueueKind, seed int64) []traceStamp {
 	var trace []traceStamp
 	s := NewWithQueue(seed, kind)
@@ -200,6 +284,14 @@ func simTrace(kind QueueKind, seed int64) []traceStamp {
 				s.CallAfter(Duration(rng.Intn(100)), func(a, b any) { record() }, nil, nil)
 			}
 		}
+		// Run(until) stops early and NextAt peeks ahead; events scheduled
+		// now land behind the window the queue has advanced to.
+		s.Run(s.Now() + Time(rng.Intn(3000)))
+		if next, ok := s.NextAt(); ok && !s.Halted() {
+			for j := 0; j < 5; j++ {
+				s.At(s.Now()+Time(rng.Int63n(int64(next-s.Now())+1)), record)
+			}
+		}
 		s.RunAll(0) // may stop early at the Halt
 		s.halted = false
 		s.RunAll(0) // resume and drain
@@ -210,17 +302,17 @@ func simTrace(kind QueueKind, seed int64) []traceStamp {
 // TestSimDifferentialTrace pins the scheduler end to end: the same seeded
 // workload — including Halt mid-run, resumption, node-pinned scheduling,
 // and pooled-node reuse across a Reset — executes in the identical order
-// on the wheel and on the reference heap.
+// on the radix queue and on the reference heap.
 func TestSimDifferentialTrace(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		w := simTrace(QueueWheel, seed)
 		h := simTrace(QueueHeap, seed)
 		if len(w) != len(h) {
-			t.Fatalf("seed %d: trace lengths diverged: wheel %d heap %d", seed, len(w), len(h))
+			t.Fatalf("seed %d: trace lengths diverged: radix %d heap %d", seed, len(w), len(h))
 		}
 		for i := range w {
 			if w[i] != h[i] {
-				t.Fatalf("seed %d: trace diverged at %d: wheel %+v heap %+v",
+				t.Fatalf("seed %d: trace diverged at %d: radix %+v heap %+v",
 					seed, i, w[i], h[i])
 			}
 		}

@@ -4,9 +4,9 @@ import "container/heap"
 
 // eventQueue is the scheduler's priority-queue seam: implementations must
 // pop events in exactly the total order (at, ord). Sim selects one at
-// construction (NewWithQueue); the calendar/timing-wheel queue is the
-// default and the binary heap is kept as the reference implementation the
-// differential property tests compare it against.
+// construction (NewWithQueue); the radix queue is the default and the
+// binary heap is kept as the reference implementation the differential
+// property tests compare it against.
 type eventQueue interface {
 	push(e *event)
 	pop() *event  // nil when empty

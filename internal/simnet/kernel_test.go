@@ -251,13 +251,13 @@ func TestKernelDifferentialHalt(t *testing.T) {
 	}
 }
 
-// TestKernelCrossQueueDifferential closes the square: the parallel wheel
+// TestKernelCrossQueueDifferential closes the square: the parallel radix
 // run must equal the serial heap run (and vice versa), so queue choice
 // and kernel choice are independently interchangeable.
 func TestKernelCrossQueueDifferential(t *testing.T) {
 	serialHeap := runSerial(3, QueueHeap, false, 0)
-	parallelWheel, _ := runParallel(t, 3, QueueWheel, false, 4, 0)
-	diffObs(t, "serial-heap vs parallel-wheel", serialHeap, parallelWheel)
+	parallelRadix, _ := runParallel(t, 3, QueueWheel, false, 4, 0)
+	diffObs(t, "serial-heap vs parallel-radix", serialHeap, parallelRadix)
 }
 
 // TestKernelLookaheadInvariant checks the conservative floor on every

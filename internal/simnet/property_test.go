@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,21 +13,24 @@ import (
 // queue from schedule until its callback returns, then by the free pool;
 // released events are zeroed; no event is ever in the queue and the pool
 // at once. Execution order is the total order (at, ord) — identical for
-// the timing-wheel queue and the reference heap, which the differential
-// tests below pin against each other.
+// the radix queue and the reference heap, which the differential tests
+// pin against each other.
 
 // queueKinds names both queue implementations for sub-test sweeps.
 var queueKinds = []struct {
 	name string
 	kind QueueKind
 }{
-	{"wheel", QueueWheel},
+	{"wheel", QueueWheel}, // the default (radix) queue; the kind keeps its name
 	{"heap", QueueHeap},
 }
 
 // checkQueue verifies the implementation-specific structural invariant of
-// the live queue: the heap property for the reference heap, bucket
-// ordering plus cursor and count soundness for the wheel.
+// the live queue: the heap property for the reference heap; for the
+// radix queue, inline keys in sync with their events, a sorted run inside
+// the base window, a side heap at or behind it, every bucket entry filed
+// by its radix distance from base with an exact bucket minimum, and a
+// sound count.
 func checkQueue(t *testing.T, q eventQueue) {
 	t.Helper()
 	switch q := q.(type) {
@@ -39,75 +43,57 @@ func checkQueue(t *testing.T, q eventQueue) {
 				}
 			}
 		}
-	case *wheelQueue:
-		n := 0
-		curStart := q.curEnd - Time(1)<<q.shift
+	case *radixQueue:
+		key := func(x qent) {
+			if x.at != x.e.at || x.ord != x.e.ord {
+				t.Fatalf("radix entry key (%d,%d) out of sync with its event (%d,%d)", x.at, x.ord, x.e.at, x.e.ord)
+			}
+		}
+		n := len(q.run) - q.head + len(q.side)
+		for i, x := range q.run[q.head:] {
+			key(x)
+			if window(x.at) != q.base {
+				t.Fatalf("radix run entry (%d,%d) outside base window %d", x.at, x.ord, q.base)
+			}
+			if i > 0 && !q.run[q.head+i-1].less(&x) {
+				t.Fatalf("radix run unsorted at (%d,%d)", x.at, x.ord)
+			}
+		}
+		for i, x := range q.side {
+			key(x)
+			if window(x.at) > q.base {
+				t.Fatalf("radix side entry (%d,%d) ahead of base window %d", x.at, x.ord, q.base)
+			}
+			if i > 0 && x.less(&q.side[(i-1)/2]) {
+				t.Fatalf("radix side heap invariant violated at %d", i)
+			}
+		}
 		for i := range q.buckets {
 			b := q.buckets[i]
-			var prev *event
-			for e := b.head; e != nil; e = e.next {
-				n++
-				if idx := int(uint64(e.at)>>q.shift) & q.mask; idx != i {
-					t.Fatalf("wheel event (%d,%d) filed in bucket %d, belongs in %d", e.at, e.ord, i, idx)
-				}
-				if prev != nil && !before(prev, e) {
-					t.Fatalf("wheel bucket %d unsorted: (%d,%d) !< (%d,%d)",
-						i, prev.at, prev.ord, e.at, e.ord)
-				}
-				if e.at < curStart {
-					t.Fatalf("wheel cursor (start %d) passed queued event (%d,%d)", curStart, e.at, e.ord)
-				}
-				if e.next == nil && b.tail != e {
-					t.Fatalf("wheel bucket %d tail pointer out of sync", i)
-				}
-				prev = e
+			if occupied := q.occ&(1<<i) != 0; occupied != (b.head != nil) {
+				t.Fatalf("radix bucket %d occupancy bit %v but empty=%v", i, occupied, b.head == nil)
 			}
-			if (b.head == nil) != (b.tail == nil) {
-				t.Fatalf("wheel bucket %d head/tail out of sync", i)
+			if (b.head == nil) != (b.tail == nil) || b.tail != nil && (b.tail.next != nil || b.n < 1 || b.n > radixChunkLen) {
+				t.Fatalf("radix bucket %d chunk list malformed (tail fill %d)", i, b.n)
 			}
-			// Lane structure: the skip chain visits exactly the heads of the
-			// same-timestamp runs, each head's runTail is its lane's last
-			// member, and the last lane is tailRun.
-			var lastLane *event
-			for r := b.head; r != nil; r = r.skip {
-				rt := r.runTail
-				if rt == nil {
-					t.Fatalf("wheel bucket %d lane head (%d,%d) missing runTail", i, r.at, r.ord)
-				}
-				for m := r; ; m = m.next {
-					if m.at != r.at {
-						t.Fatalf("wheel bucket %d lane (at=%d) contains (%d,%d)", i, r.at, m.at, m.ord)
+			lo := ^uint64(0)
+			b.each(func(ents []qent) {
+				for _, x := range ents {
+					n++
+					key(x)
+					w := window(x.at)
+					if w <= q.base || bits.Len64(w^q.base)-1 != i {
+						t.Fatalf("radix entry (%d,%d) window %d filed in bucket %d (base %d)", x.at, x.ord, w, i, q.base)
 					}
-					if m != r && (m.skip != nil || m.runTail != nil) {
-						t.Fatalf("wheel bucket %d lane member (%d,%d) carries head links", i, m.at, m.ord)
-					}
-					if m == rt {
-						break
-					}
-					if m.next == nil {
-						t.Fatalf("wheel bucket %d lane (at=%d) runTail unreachable", i, r.at)
-					}
+					lo = min(lo, w)
 				}
-				if rt.next != nil && rt.next.at == r.at {
-					t.Fatalf("wheel bucket %d lane (at=%d) split across runs", i, r.at)
-				}
-				if r.skip != nil && r.skip != rt.next {
-					t.Fatalf("wheel bucket %d skip link skips events at at=%d", i, r.at)
-				}
-				lastLane = r
-			}
-			if lastLane != b.tailRun {
-				t.Fatalf("wheel bucket %d tailRun out of sync", i)
-			}
-			if b.tailRun != nil && b.tailRun.runTail != b.tail {
-				t.Fatalf("wheel bucket %d tail lane does not end at tail", i)
-			}
-			if occupied := q.occ[i>>6]&(1<<uint(i&63)) != 0; occupied != (b.head != nil) {
-				t.Fatalf("wheel bucket %d occupancy bit %v but head nil=%v", i, occupied, b.head == nil)
+			})
+			if b.head != nil && b.min != lo {
+				t.Fatalf("radix bucket %d min %d, entries' min %d", i, b.min, lo)
 			}
 		}
 		if n != q.n {
-			t.Fatalf("wheel count %d != %d live events", q.n, n)
+			t.Fatalf("radix count %d != %d live entries", q.n, n)
 		}
 	default:
 		t.Fatalf("unknown queue implementation %T", q)
@@ -119,8 +105,7 @@ func checkQueue(t *testing.T, q eventQueue) {
 func eventZeroed(e *event) bool {
 	return e.at == 0 && e.ord == 0 && e.call == nil &&
 		e.argA == nil && e.argB == nil && e.nw == nil &&
-		e.from == 0 && e.to == 0 && e.size == 0 && e.msg == nil &&
-		e.next == nil && e.skip == nil && e.runTail == nil
+		e.from == 0 && e.to == 0 && e.size == 0 && e.msg == nil
 }
 
 // queuedSet collects the identity of every live queued event.

@@ -14,11 +14,11 @@
 // measured results are bit-identical across kernels (the differential
 // tests pin this).
 //
-// Scheduling: the event queue is an O(1)-amortized calendar/timing-wheel
-// queue (wheel.go); the original binary min-heap survives as the
-// reference implementation (heap.go, QueueHeap) that the differential
-// property tests compare the wheel against. Both pop in the identical
-// total order (at, ord), so results never depend on the choice.
+// Scheduling: the event queue is a radix queue over coarse time windows
+// with inline (at, ord) keys (radix.go); the original binary min-heap
+// survives as the reference implementation (heap.go, QueueHeap) that the
+// differential property tests compare it against. Both pop in the
+// identical total order (at, ord), so results never depend on the choice.
 //
 // Allocation model: events are pooled. An executed event returns to a free
 // list the moment its callback finishes, and the next At/Send reuses it, so
@@ -54,24 +54,12 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // values without boxing allocations) or nw (a network delivery encoded as
 // fields). Events are pooled: Step releases an event back to the
 // simulator's free list after its callback returns, zeroing every field
-// first. The struct is laid out to keep a popped event's queue links and
-// ordering key on its first cache line, and the whole event in two.
+// first. The queue keeps its own inline copy of (at, ord) and no links
+// through the event, so the struct is 96 bytes (a 96-byte size class):
+// ordering never touches it, and dispatch reads at most two cache lines.
 type event struct {
 	at  Time
 	ord uint64
-
-	// next, skip and runTail chain events inside one timing-wheel bucket
-	// (wheel.go): the wheel queues pooled events intrusively, so
-	// scheduling allocates no container nodes at all. next links the full
-	// (at, ord) order; skip links the heads of same-timestamp runs (the
-	// lanes) so an insert hops over a lane in one step; runTail, on a
-	// lane's head, points at its last member for O(1) lane appends. All
-	// three are owned by the queue and nil outside it. They sit next to
-	// the ordering key so the queue's pop/insert path touches one cache
-	// line of a cold event.
-	next    *event
-	skip    *event
-	runTail *event
 
 	// Closure-free callback: call(argA, argB). Used for hot-path events
 	// (message deliveries to replicas, client submissions, timer wakeups)
@@ -140,10 +128,10 @@ func runTimer(a, b any) {
 // construction.
 type QueueKind int
 
-// The two queue implementations. QueueWheel is the default: an
-// O(1)-amortized calendar/timing-wheel queue (wheel.go). QueueHeap is the
-// original binary min-heap, retained as the reference implementation for
-// the differential property tests and available for cross-checking runs.
+// The two queue implementations. QueueWheel is the default kind and
+// selects the windowed radix queue (radix.go). QueueHeap is the original
+// binary min-heap, retained as the reference implementation for the
+// differential property tests and available for cross-checking runs.
 const (
 	QueueWheel QueueKind = iota
 	QueueHeap
@@ -184,7 +172,7 @@ type Sim struct {
 }
 
 // New creates a simulator with a seeded deterministic RNG, backed by the
-// default timing-wheel queue.
+// default radix queue.
 func New(seed int64) *Sim {
 	return NewWithQueue(seed, QueueWheel)
 }
@@ -198,14 +186,14 @@ func NewWithQueue(seed int64, kind QueueKind) *Sim {
 	if kind == QueueHeap {
 		q = &heapQueue{}
 	} else {
-		q = newWheelQueue()
+		q = &radixQueue{}
 	}
 	return &Sim{q: q, rng: rand.New(rand.NewSource(seed)), seed: seed, cur: NodeNone, kind: kind}
 }
 
 // Reset returns the simulator to its just-constructed state — clock at
 // zero, no queued events, counters cleared, RNG reseeded — while keeping
-// every arena it has grown: the event free list, queue bucket capacity and
+// every arena it has grown: the event free list, queue chunks and
 // scratch buffers all carry over. Queued events are released (zeroed) into
 // the pool, so no references from the previous run survive. A reset Sim
 // behaves exactly like New(seed): benchmark iterations and RunMany sweeps
