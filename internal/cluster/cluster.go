@@ -414,13 +414,47 @@ const (
 	hookBlock
 )
 
-// simPool recycles simulators across runs: Sim.Reset reuses the event
+// simFree recycles simulators across runs: Sim.Reset reuses the event
 // pool, queue chunks and scratch arenas a previous run grew, so
 // benchmark iterations and RunMany sweeps stop re-growing megabytes of
 // scheduler state per run. Reset restores the exact just-constructed
 // state, so results are identical whether a Sim is fresh or reused (the
-// determinism contract).
-var simPool = sync.Pool{New: func() any { return simnet.New(0) }}
+// determinism contract). It is a mutex-guarded free list rather than a
+// sync.Pool: a run takes a warm simulator whenever one is free, whichever
+// P it runs on and however many collections ran since, so a run's
+// allocation count does not depend on goroutine placement or GC timing.
+// At most GOMAXPROCS simulators (the runs that can execute at once) are
+// kept.
+var simFree struct {
+	sync.Mutex
+	sims []*simnet.Sim
+}
+
+// takeSim returns a simulator reset to seed, warm when one is free.
+func takeSim(seed int64) *simnet.Sim {
+	simFree.Lock()
+	var sim *simnet.Sim
+	if n := len(simFree.sims); n > 0 {
+		sim, simFree.sims = simFree.sims[n-1], simFree.sims[:n-1]
+	}
+	simFree.Unlock()
+	if sim == nil {
+		return simnet.New(seed)
+	}
+	sim.Reset(seed)
+	return sim
+}
+
+// returnSim drops a finished run's references from sim and keeps it for
+// the next run, unless GOMAXPROCS simulators are already kept.
+func returnSim(sim *simnet.Sim) {
+	sim.Reset(0)
+	simFree.Lock()
+	if len(simFree.sims) < runtime.GOMAXPROCS(0) {
+		simFree.sims = append(simFree.sims, sim)
+	}
+	simFree.Unlock()
+}
 
 // Run executes one experiment and returns its measurements.
 func Run(cfg Config) *Result {
@@ -459,12 +493,8 @@ func Run(cfg Config) *Result {
 	}
 	n := cfg.N
 	f := (n - 1) / 3
-	sim := simPool.Get().(*simnet.Sim)
-	sim.Reset(cfg.Seed)
-	defer func() {
-		sim.Reset(0) // drop references from this run before pooling
-		simPool.Put(sim)
-	}()
+	sim := takeSim(cfg.Seed)
+	defer returnSim(sim)
 
 	var model *simnet.GeoModel
 	if cfg.Net == LAN {

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/simnet"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -223,5 +226,51 @@ func TestConfigLabelDisambiguates(t *testing.T) {
 	scripted.Source = workload.New(workload.Config{Seed: 9})
 	if got, want := scripted.Label(), "Orthrus/WAN/n=16/src"; got != want {
 		t.Fatalf("custom-source label %q, want %q", got, want)
+	}
+}
+
+// TestSimFreeList pins the simulator free list behind cluster.Run: a
+// returned simulator is the next one taken (warm reuse, whatever the
+// goroutine), concurrent runs never share one, and at most GOMAXPROCS
+// are kept.
+func TestSimFreeList(t *testing.T) {
+	a := takeSim(1)
+	returnSim(a)
+	if b := takeSim(2); b != a || b.Seed() != 2 {
+		t.Fatalf("free simulator not reused (same=%v) or not reset (seed %d)", b == a, b.Seed())
+	} else {
+		returnSim(b)
+	}
+	var mu sync.Mutex
+	busy := map[*simnet.Sim]bool{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s := takeSim(int64(i))
+				mu.Lock()
+				shared := busy[s]
+				busy[s] = true
+				mu.Unlock()
+				if shared {
+					t.Error("one simulator handed to two concurrent runs")
+				}
+				s.After(time.Millisecond, func() {})
+				s.RunAll(0)
+				mu.Lock()
+				busy[s] = false
+				mu.Unlock()
+				returnSim(s)
+			}
+		}()
+	}
+	wg.Wait()
+	simFree.Lock()
+	kept := len(simFree.sims)
+	simFree.Unlock()
+	if kept > runtime.GOMAXPROCS(0) {
+		t.Fatalf("free list keeps %d simulators, cap GOMAXPROCS=%d", kept, runtime.GOMAXPROCS(0))
 	}
 }

@@ -40,7 +40,7 @@ func TestPulseStaleWakeupAfterRecover(t *testing.T) {
 	for _, q := range []struct {
 		name string
 		kind simnet.QueueKind
-	}{{"wheel", simnet.QueueWheel}, {"heap", simnet.QueueHeap}} {
+	}{{"wheel", simnet.QueueRadix}, {"heap", simnet.QueueHeap}} {
 		t.Run(q.name, func(t *testing.T) {
 			sim := simnet.NewWithQueue(1, q.kind)
 			nw := simnet.NewNetwork(sim, 1, simnet.FixedModel{D: time.Millisecond})

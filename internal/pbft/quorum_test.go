@@ -73,7 +73,7 @@ func TestProgressDetectorTracksShrinkingDeadline(t *testing.T) {
 	for _, q := range []struct {
 		name string
 		kind simnet.QueueKind
-	}{{"wheel", simnet.QueueWheel}, {"heap", simnet.QueueHeap}} {
+	}{{"wheel", simnet.QueueRadix}, {"heap", simnet.QueueHeap}} {
 		t.Run(q.name, func(t *testing.T) {
 			sim := simnet.NewWithQueue(1, q.kind)
 			e := New(Config{N: 4, F: 1, ID: 1, Timeout: 10 * time.Second}, dropTransport{}, simnet.On(sim, 1))

@@ -16,15 +16,15 @@ import (
 // the window the queue has advanced to, so the workloads deliberately
 // interleave sources and affinities and push after peeks and early stops.
 
-// popAll drains q and returns the (at, ord) sequence observed.
-func popAll(q eventQueue) [][2]uint64 {
-	var out [][2]uint64
+// popAll drains q and returns the entries in pop order.
+func popAll(q eventQueue) []qent {
+	var out []qent
 	for {
-		e := q.pop()
-		if e == nil {
+		x := q.pop()
+		if x.e == nil {
 			return out
 		}
-		out = append(out, [2]uint64{uint64(e.at), e.ord})
+		out = append(out, x)
 	}
 }
 
@@ -44,23 +44,32 @@ func (g *ordGen) next() uint64 {
 }
 
 // queuePair drives the radix queue and the reference heap in lockstep,
-// failing on the first divergence. clock follows the popped events the
-// way Sim.now does; pushes are relative to it.
+// failing on the first divergence. Both queues receive the identical
+// entries, event pointers included, so a pop must return the same key and
+// the same event (any of the events queued under that key, should a fuzz
+// script repeat one; a simulator never does). clock follows the popped
+// entries the way Sim.now does; pushes are relative to it.
 type queuePair struct {
 	tb    testing.TB
 	label string
 	q     *radixQueue
 	ref   *heapQueue
 	clock Time
+	live  map[[2]uint64]int // queued entries per (at, ord) key
 }
 
 func newQueuePair(tb testing.TB, label string) *queuePair {
-	return &queuePair{tb: tb, label: label, q: &radixQueue{}, ref: &heapQueue{}}
+	return &queuePair{tb: tb, label: label, q: &radixQueue{}, ref: &heapQueue{}, live: map[[2]uint64]int{}}
 }
 
-func (p *queuePair) push(at Time, ord uint64) {
-	p.q.push(&event{at: at, ord: ord})
-	p.ref.push(&event{at: at, ord: ord})
+func (p *queuePair) push(at Time, ord uint64) { p.pushShared(&event{}, at, ord) }
+
+// pushShared queues one more entry for e, the way a broadcast queues one
+// entry per recipient against one delivery record.
+func (p *queuePair) pushShared(e *event, at Time, ord uint64) {
+	p.q.push(qent{at, ord, e})
+	p.ref.push(qent{at, ord, e})
+	p.live[[2]uint64{uint64(at), ord}]++
 	p.checkLen()
 }
 
@@ -70,21 +79,23 @@ func (p *queuePair) checkLen() {
 	}
 }
 
-// same fails unless both queues returned the same event key (or both nil)
+// same fails unless both queues returned the same entry (or both none)
 // and advances the clock past a popped one.
-func (p *queuePair) same(op string, qe, he *event, advance bool) bool {
+func (p *queuePair) same(op string, qx, hx qent, advance bool) bool {
 	p.tb.Helper()
-	if (qe == nil) != (he == nil) {
-		p.tb.Fatalf("%s: %s emptiness diverged: radix %v heap %v", p.label, op, qe != nil, he != nil)
+	if (qx.e == nil) != (hx.e == nil) {
+		p.tb.Fatalf("%s: %s emptiness diverged: radix %v heap %v", p.label, op, qx.e != nil, hx.e != nil)
 	}
-	if qe == nil {
+	if qx.e == nil {
 		return false
 	}
-	if qe.at != he.at || qe.ord != he.ord {
-		p.tb.Fatalf("%s: %s diverged: radix (%d,%d) heap (%d,%d)", p.label, op, qe.at, qe.ord, he.at, he.ord)
+	key := [2]uint64{uint64(qx.at), qx.ord}
+	if qx.at != hx.at || qx.ord != hx.ord || qx.e != hx.e && p.live[key] < 2 {
+		p.tb.Fatalf("%s: %s diverged: radix (%d,%d,%p) heap (%d,%d,%p)", p.label, op, qx.at, qx.ord, qx.e, hx.at, hx.ord, hx.e)
 	}
-	if advance && qe.at > p.clock {
-		p.clock = qe.at
+	if advance {
+		p.live[key]--
+		p.clock = max(p.clock, qx.at)
 	}
 	return true
 }
@@ -108,16 +119,9 @@ func (p *queuePair) runUntil(until Time) {
 	}
 }
 
+// drain pops both queues dry in lockstep.
 func (p *queuePair) drain() {
-	w, h := popAll(p.q), popAll(p.ref)
-	if len(w) != len(h) {
-		p.tb.Fatalf("%s: drained %d vs %d events", p.label, len(w), len(h))
-	}
-	for i := range w {
-		if w[i] != h[i] {
-			p.tb.Fatalf("%s: drain diverged at %d: radix (%d,%d) heap (%d,%d)",
-				p.label, i, w[i][0], w[i][1], h[i][0], h[i][1])
-		}
+	for p.pop() {
 	}
 }
 
@@ -126,9 +130,10 @@ func (p *queuePair) drain() {
 // same-timestamp lanes with out-of-order keys, sparse far-future outliers,
 // NIC-style spreads seconds ahead, pushes right after a peek (the NextAt
 // path) and after Run(until) stopped early, and mid-stream pops — then
-// through 10k-event same-timestamp runs pushed in ascending and in
-// descending ord, and asserts the popped (at, ord) sequences match
-// element for element.
+// through all-to-all broadcast rounds whose entries share one record per
+// sender, and 10k-event same-timestamp runs pushed in ascending and in
+// descending ord, and asserts the popped entries match element for
+// element.
 func TestQueueDifferentialPopOrder(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -169,6 +174,31 @@ func TestQueueDifferentialPopOrder(t *testing.T) {
 		}
 		p.drain()
 	}
+	// Broadcast fan-outs: every sender queues one entry per recipient
+	// against one shared record, with a per-recipient delay, and pops
+	// interleave so later rounds land behind live runs. Each popped entry
+	// must still carry its own record.
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := newQueuePair(t, fmt.Sprintf("broadcast seed %d", seed))
+		var cnts [50]uint64
+		for round := 0; round < 20; round++ {
+			for from := 0; from < 50; from++ {
+				rec := &event{}
+				for to := 0; to < 50; to++ {
+					d := Time(33*time.Millisecond) + Time(rng.Int63n(int64(235*time.Millisecond)))
+					if to == from {
+						d = Time(50 * time.Microsecond)
+					}
+					p.pushShared(rec, p.clock+d, makeOrd(to, from, cnts[from]))
+					cnts[from]++
+				}
+			}
+			for j := 0; j < 1000+rng.Intn(1500) && p.pop(); j++ {
+			}
+		}
+		p.drain()
+	}
 	for _, descending := range []bool{false, true} {
 		p := newQueuePair(t, fmt.Sprintf("10k-run descending=%v", descending))
 		for round := 0; round < 3; round++ {
@@ -201,11 +231,12 @@ func TestQueueDifferentialQuick(t *testing.T) {
 		for i, off := range offsets {
 			at := clock + Time(uint64(off)*uint64(1+i%3))
 			ord := gen.next()
-			radix.push(&event{at: at, ord: ord})
-			ref.push(&event{at: at, ord: ord})
+			x := qent{at, ord, &event{}}
+			radix.push(x)
+			ref.push(x)
 			if i%step == 0 {
 				we, he := radix.pop(), ref.pop()
-				if we == nil || he == nil || we.at != he.at || we.ord != he.ord {
+				if we.e == nil || we != he {
 					return false
 				}
 				if we.at > clock {
@@ -237,12 +268,12 @@ type traceStamp struct {
 	node   int
 }
 
-// simTrace runs a deterministic mixed workload — network deliveries with
-// reentrant sends, node-pinned scheduling, plain callbacks, cancelled
-// timers, an early-stopping Run(until) and a NextAt peek followed by
-// pushes behind the peeked event, a mid-run Halt with resumption, and a
-// Reset that reuses pooled nodes for a second round — and returns the
-// execution trace.
+// simTrace runs a deterministic mixed workload — network deliveries and
+// broadcasts with reentrant sends, node-pinned scheduling, plain
+// callbacks, cancelled timers, an early-stopping Run(until) and a NextAt
+// peek followed by pushes behind the peeked event, a mid-run Halt with
+// resumption, and a Reset that reuses pooled nodes for a second round —
+// and returns the execution trace.
 func simTrace(kind QueueKind, seed int64) []traceStamp {
 	var trace []traceStamp
 	s := NewWithQueue(seed, kind)
@@ -263,9 +294,11 @@ func simTrace(kind QueueKind, seed int64) []traceStamp {
 		haltAt := rng.Intn(n)
 		for i := 0; i < n; i++ {
 			i := i
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0:
 				nw.Send(rng.Intn(4), rng.Intn(4), 128, rng.Intn(8))
+			case 5:
+				nw.Broadcast(rng.Intn(4), 96, rng.Intn(8))
 			case 1:
 				s.After(Duration(rng.Int63n(int64(5*time.Second))), func() {
 					record()
@@ -305,7 +338,7 @@ func simTrace(kind QueueKind, seed int64) []traceStamp {
 // on the radix queue and on the reference heap.
 func TestSimDifferentialTrace(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
-		w := simTrace(QueueWheel, seed)
+		w := simTrace(QueueRadix, seed)
 		h := simTrace(QueueHeap, seed)
 		if len(w) != len(h) {
 			t.Fatalf("seed %d: trace lengths diverged: radix %d heap %d", seed, len(w), len(h))
@@ -314,6 +347,70 @@ func TestSimDifferentialTrace(t *testing.T) {
 			if w[i] != h[i] {
 				t.Fatalf("seed %d: trace diverged at %d: radix %+v heap %+v",
 					seed, i, w[i], h[i])
+			}
+		}
+	}
+}
+
+// faultTrace broadcasts twice from every node of a 6-node WAN with the
+// link 5 -> 1 cut, then — with all deliveries in flight — crashes node 3,
+// cuts the link 0 -> 4 and restores 5 -> 1, and returns the delivery
+// trace plus each node's delivery count. viaSends replaces each Broadcast
+// with one Send per recipient.
+func faultTrace(t *testing.T, kind QueueKind, viaSends bool) ([]traceStamp, []int) {
+	s := NewWithQueue(11, kind)
+	nw := NewNetwork(s, 6, NewWAN())
+	var trace []traceStamp
+	got := make([]int, 6)
+	for i := 0; i < 6; i++ {
+		i := i
+		nw.Register(i, func(from int, msg any) {
+			got[i]++
+			trace = append(trace, traceStamp{s.Now(), uint64(from*10 + msg.(int)), i})
+		})
+	}
+	nw.SetLinkBlocked(5, 1, true)
+	for round := 0; round < 2; round++ {
+		for from := 0; from < 6; from++ {
+			if viaSends {
+				for to := 0; to < 6; to++ {
+					nw.Send(from, to, 200, round)
+				}
+			} else {
+				nw.Broadcast(from, 200, round)
+			}
+		}
+	}
+	s.At(1, func() {
+		nw.SetDown(3, true)
+		nw.SetLinkBlocked(0, 4, true)
+		nw.SetLinkBlocked(5, 1, false)
+	})
+	s.RunAll(0)
+	checkDisjoint(t, s)
+	if len(s.pool) == 0 {
+		t.Fatal("no delivery record returned to the pool")
+	}
+	return trace, got
+}
+
+// TestBroadcastFaultsMidFlight pins that a shared delivery record drops
+// only the affected recipients: a crash or a link cut while a broadcast
+// is in flight loses exactly the deliveries to the crashed node and over
+// the cut link, a link cut at send time loses its recipient even if it
+// heals before delivery, and the schedule is identical to one Send per
+// recipient on either queue.
+func TestBroadcastFaultsMidFlight(t *testing.T) {
+	ref, refGot := faultTrace(t, QueueHeap, true)
+	want := []int{12, 10, 12, 0, 10, 12} // 5 -> 1 cut at send; node 3 crashed; 0 -> 4 cut
+	if fmt.Sprint(refGot) != fmt.Sprint(want) {
+		t.Fatalf("per-node deliveries %v, want %v", refGot, want)
+	}
+	for _, kind := range []QueueKind{QueueRadix, QueueHeap} {
+		for _, viaSends := range []bool{false, true} {
+			trace, got := faultTrace(t, kind, viaSends)
+			if fmt.Sprint(got) != fmt.Sprint(refGot) || fmt.Sprint(trace) != fmt.Sprint(ref) {
+				t.Fatalf("kind %d viaSends=%v diverged from the per-recipient heap run", kind, viaSends)
 			}
 		}
 	}

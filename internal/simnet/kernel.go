@@ -60,10 +60,13 @@ type Kernel struct {
 	clientNode int
 	look       Time
 	workers    int
-	// outbox[i] holds shard i's cross-shard events until the next barrier
+	// outbox[i] holds shard i's cross-shard entries until the next barrier
 	// (index len(shards) is the client's). Bounded in practice by one
-	// window's sends; maxOutbox records the high-water mark.
-	outbox [][]*event
+	// window's sends; maxOutbox records the high-water mark. A broadcast's
+	// entries for one destination shard share a delivery record no other
+	// shard references (Network.fanout), so records change hands only
+	// here, at barriers.
+	outbox [][]qent
 
 	// Stats, for bench columns and the differential harness.
 	windows   uint64
@@ -73,7 +76,7 @@ type Kernel struct {
 
 	// onMerge, when set, observes every cross-shard hand-off at its merge
 	// barrier (test seam for the lookahead property suite).
-	onMerge func(e *event, srcShard int, windowStart, windowEnd Time)
+	onMerge func(x qent, srcShard int, windowStart, windowEnd Time)
 
 	// onBarrier, when set, runs at every synchronization barrier — shards
 	// quiescent, outboxes merged, clocks aligned, before the barrier's
@@ -162,7 +165,7 @@ func NewKernel(global *Sim, nw *Network, shardOf []int, nshards, clientNode, wor
 		workers:    workers,
 		shards:     make([]*Sim, nshards),
 		simOf:      make([]*Sim, n),
-		outbox:     make([][]*event, nshards+1),
+		outbox:     make([][]qent, nshards+1),
 	}
 	newShard := func() *Sim {
 		s := NewWithQueue(global.seed, global.kind)
@@ -181,7 +184,7 @@ func NewKernel(global *Sim, nw *Network, shardOf []int, nshards, clientNode, wor
 	for i := range k.shards {
 		i := i
 		si := k.shards[i]
-		si.route = func(e *event, dst int) bool {
+		si.route = func(x qent, dst int) bool {
 			if dst == NodeNone {
 				panic("simnet: node event scheduled a global-affinity event under the sharded kernel")
 			}
@@ -191,26 +194,26 @@ func NewKernel(global *Sim, nw *Network, shardOf []int, nshards, clientNode, wor
 			if k.simOf[dst] == si {
 				return false
 			}
-			k.outbox[i] = append(k.outbox[i], e)
+			k.outbox[i] = append(k.outbox[i], x)
 			return true
 		}
 	}
-	k.client.route = func(e *event, dst int) bool {
+	k.client.route = func(x qent, dst int) bool {
 		if dst == clientNode {
 			return false
 		}
-		k.outbox[nshards] = append(k.outbox[nshards], e)
+		k.outbox[nshards] = append(k.outbox[nshards], x)
 		return true
 	}
 	// Global-affinity code occasionally schedules node events outside any
 	// shard context (fault injection arming replica work); at setup and at
 	// barriers every shard is quiescent, so routing them straight into the
 	// owning queue is safe.
-	global.route = func(e *event, dst int) bool {
+	global.route = func(x qent, dst int) bool {
 		if dst == NodeNone {
 			return false
 		}
-		k.ownSim(dst).q.push(e)
+		k.ownSim(dst).q.push(x)
 		return true
 	}
 	return k
@@ -299,7 +302,7 @@ func (k *Kernel) Run(until Time) {
 
 	for w := k.global.now; !k.global.halted; {
 		end := w + k.look
-		if g := k.global.q.peek(); g != nil && g.at < end {
+		if g := k.global.q.peek(); g.e != nil && g.at < end {
 			end = g.at
 		}
 		if end > untilX {
@@ -342,7 +345,7 @@ func (k *Kernel) Run(until Time) {
 		}
 		for !k.global.halted {
 			g := k.global.q.peek()
-			if g == nil || g.at != end {
+			if g.e == nil || g.at != end {
 				break
 			}
 			k.global.Step()
@@ -370,16 +373,16 @@ func (k *Kernel) mergeOutbox(src int, windowStart, windowEnd, floor Time) {
 	if len(box) > k.maxOutbox {
 		k.maxOutbox = len(box)
 	}
-	for _, e := range box {
-		if e.at < floor {
+	for _, x := range box {
+		if x.at < floor {
 			panic(fmt.Sprintf(
 				"simnet: lookahead violated: cross-shard event at %v below floor %v (window [%v,%v))",
-				e.at, floor, windowStart, windowEnd))
+				x.at, floor, windowStart, windowEnd))
 		}
 		if k.onMerge != nil {
-			k.onMerge(e, src, windowStart, windowEnd)
+			k.onMerge(x, src, windowStart, windowEnd)
 		}
-		k.ownSim(ordDst(e.ord)).q.push(e)
+		k.ownSim(ordDst(x.ord)).q.push(x)
 		k.merged++
 	}
 	clear(box) // drop references before reuse

@@ -80,7 +80,10 @@ func kernelWorkload(nw *Network, global *Sim, nodeOn func(int) NodeSim, client N
 				if (i+m)%2 == 0 {
 					tm.Stop()
 				}
-			default: // immediate hop
+			default: // immediate hop; every other one also broadcasts a terminal notice
+				if m%4 == 3 {
+					nw.Broadcast(i, 96, 0)
+				}
 				nw.Send(i, hop, 64+m%128, m-1)
 			}
 		})
@@ -220,7 +223,7 @@ func diffObs(t *testing.T, label string, serial, parallel kObs) {
 // must be bit-identical.
 func TestKernelDifferential(t *testing.T) {
 	for _, lan := range []bool{false, true} {
-		for _, kind := range []QueueKind{QueueWheel, QueueHeap} {
+		for _, kind := range []QueueKind{QueueRadix, QueueHeap} {
 			for seed := int64(1); seed <= 4; seed++ {
 				serial := runSerial(seed, kind, lan, 0)
 				for _, workers := range []int{2, 4} {
@@ -242,11 +245,11 @@ func TestKernelDifferential(t *testing.T) {
 func TestKernelDifferentialHalt(t *testing.T) {
 	haltAt := Time(11 * time.Millisecond)
 	for _, lan := range []bool{false, true} {
-		serial := runSerial(7, QueueWheel, lan, haltAt)
+		serial := runSerial(7, QueueRadix, lan, haltAt)
 		if !serial.halted || serial.now != haltAt {
 			t.Fatalf("serial halt misfired: halted=%v now=%v", serial.halted, serial.now)
 		}
-		parallel, _ := runParallel(t, 7, QueueWheel, lan, 4, haltAt)
+		parallel, _ := runParallel(t, 7, QueueRadix, lan, 4, haltAt)
 		diffObs(t, fmt.Sprintf("halt lan=%v", lan), serial, parallel)
 	}
 }
@@ -256,7 +259,7 @@ func TestKernelDifferentialHalt(t *testing.T) {
 // and kernel choice are independently interchangeable.
 func TestKernelCrossQueueDifferential(t *testing.T) {
 	serialHeap := runSerial(3, QueueHeap, false, 0)
-	parallelRadix, _ := runParallel(t, 3, QueueWheel, false, 4, 0)
+	parallelRadix, _ := runParallel(t, 3, QueueRadix, false, 4, 0)
 	diffObs(t, "serial-heap vs parallel-radix", serialHeap, parallelRadix)
 }
 
@@ -266,7 +269,7 @@ func TestKernelCrossQueueDifferential(t *testing.T) {
 // start, and no event ever merges back into the shard that sent it.
 func TestKernelLookaheadInvariant(t *testing.T) {
 	for _, lan := range []bool{false, true} {
-		g := NewWithQueue(42, QueueWheel)
+		g := NewWithQueue(42, QueueRadix)
 		geo := NewWAN()
 		if lan {
 			geo = NewLAN()
@@ -278,7 +281,7 @@ func TestKernelLookaheadInvariant(t *testing.T) {
 		}
 		k := NewKernel(g, nw, plan, nshards, kNodes, 4)
 		merges := 0
-		k.onMerge = func(e *event, srcShard int, windowStart, windowEnd Time) {
+		k.onMerge = func(e qent, srcShard int, windowStart, windowEnd Time) {
 			merges++
 			dst := ordDst(e.ord)
 			if srcShard == nshards { // client source
@@ -311,10 +314,11 @@ func TestKernelLookaheadInvariant(t *testing.T) {
 
 // TestKernelShardQueueInvariants runs the structural queue checks from
 // property_test.go against every shard queue mid-flight: at barriers each
-// shard queue must still be a well-formed (at, ord) structure and the
-// shard pools must stay disjoint.
+// shard queue must still be a well-formed (at, ord) structure, every
+// broadcast record's count must equal its live entries on its one shard,
+// and the shard pools must stay disjoint.
 func TestKernelShardQueueInvariants(t *testing.T) {
-	g := NewWithQueue(9, QueueWheel)
+	g := NewWithQueue(9, QueueRadix)
 	nw := NewNetwork(g, kNodes, NewWAN())
 	plan, nshards := nw.PlanShards(4)
 	k := NewKernel(g, nw, plan, nshards, kNodes, 4)
@@ -328,11 +332,12 @@ func TestKernelShardQueueInvariants(t *testing.T) {
 		i := i
 		g.At(Time(i)*tick, func() {
 			checked++
-			for _, s := range k.shards {
+			sims := append([]*Sim{g, k.client}, k.shards...)
+			for _, s := range sims {
 				checkQueue(t, s.q)
+				checkDisjoint(t, s)
 			}
-			checkQueue(t, k.client.q)
-			checkQueue(t, g.q)
+			checkDisjointAcross(t, sims)
 		})
 	}
 	k.Run(kUntil)
@@ -346,20 +351,72 @@ func TestKernelShardQueueInvariants(t *testing.T) {
 	checkDisjointAcross(t, sims)
 }
 
+// TestKernelBroadcastRecordPerShard pins the sharded fan-out: a broadcast
+// takes one delivery record per destination shard, so once the barrier
+// has merged the cross-shard entries, each remote shard holds its own
+// nodes' entries against its own record and no record is referenced from
+// two shards (one shared record would have two shards decrementing its
+// count concurrently).
+func TestKernelBroadcastRecordPerShard(t *testing.T) {
+	g := NewWithQueue(5, QueueRadix)
+	nw := NewNetwork(g, kNodes, NewWAN())
+	plan, nshards := nw.PlanShards(4)
+	k := NewKernel(g, nw, plan, nshards, kNodes, 4)
+	got := collect(nw)
+	k.NodeOn(0).At(Time(time.Millisecond), func() { nw.Broadcast(0, 64, "x") })
+	checked := false
+	// 20 ms: the same-region deliveries (node 0's own shard) are done, the
+	// cross-region ones (40 ms and up) are merged and still queued.
+	g.At(Time(20*time.Millisecond), func() {
+		checked = true
+		checkDisjointAcross(t, append([]*Sim{g, k.client}, k.shards...))
+		for i, s := range k.shards {
+			checkDisjoint(t, s)
+			want := 0
+			if i != plan[0] {
+				for _, sh := range plan {
+					if sh == i {
+						want++
+					}
+				}
+			}
+			recs := queuedRefs(s)
+			if want == 0 && len(recs) != 0 || want > 0 && len(recs) != 1 {
+				t.Fatalf("shard %d holds %d records, want one per remote shard", i, len(recs))
+			}
+			for _, n := range recs {
+				if int(n) != want {
+					t.Fatalf("shard %d record has %d entries, want %d", i, n, want)
+				}
+			}
+		}
+	})
+	k.Run(Time(300 * time.Millisecond))
+	if !checked {
+		t.Fatal("barrier check never ran")
+	}
+	for i, n := range got {
+		if n != 1 {
+			t.Fatalf("node %d received %d copies", i, n)
+		}
+	}
+}
+
 // checkDisjointAcross verifies no pooled or queued event is shared
 // between any two simulators: cross-shard hand-off moves ownership, it
-// never aliases.
+// never aliases — a broadcast's record is per destination shard, so all
+// the entries referencing one record sit in one simulator's queue.
 func checkDisjointAcross(t *testing.T, sims []*Sim) {
 	t.Helper()
 	owner := make(map[*event]int)
 	for i, s := range sims {
 		claim := func(e *event) {
-			if prev, ok := owner[e]; ok {
+			if prev, ok := owner[e]; ok && prev != i {
 				t.Fatalf("event shared between sims %d and %d", prev, i)
 			}
 			owner[e] = i
 		}
-		s.q.forEach(claim)
+		s.q.forEach(func(x qent) { claim(x.e) })
 		for _, e := range s.pool {
 			claim(e)
 		}

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -10,24 +11,26 @@ import (
 
 // Property tests for the pooled event scheduler. The pooling contract
 // (sim.go, ARCHITECTURE.md "Performance model"): an event is owned by the
-// queue from schedule until its callback returns, then by the free pool;
-// released events are zeroed; no event is ever in the queue and the pool
-// at once. Execution order is the total order (at, ord) — identical for
-// the radix queue and the reference heap, which the differential tests
-// pin against each other.
+// queue while any entry references it — a broadcast's delivery record is
+// referenced by one entry per recipient, and its count always equals the
+// number of live entries — then by the free pool; it enters the pool
+// exactly once per use; released events are zeroed; no event is ever in
+// the queue and the pool at once. Execution order is the total order
+// (at, ord) — identical for the radix queue and the reference heap, which
+// the differential tests pin against each other.
 
 // queueKinds names both queue implementations for sub-test sweeps.
 var queueKinds = []struct {
 	name string
 	kind QueueKind
 }{
-	{"wheel", QueueWheel}, // the default (radix) queue; the kind keeps its name
+	{"wheel", QueueRadix}, // subtest name predates the radix queue; kept for stable test ids
 	{"heap", QueueHeap},
 }
 
 // checkQueue verifies the implementation-specific structural invariant of
 // the live queue: the heap property for the reference heap; for the
-// radix queue, inline keys in sync with their events, a sorted run inside
+// radix queue, every entry pointing at a live event, a sorted run inside
 // the base window, a side heap at or behind it, every bucket entry filed
 // by its radix distance from base with an exact bucket minimum, and a
 // sound count.
@@ -45,8 +48,8 @@ func checkQueue(t *testing.T, q eventQueue) {
 		}
 	case *radixQueue:
 		key := func(x qent) {
-			if x.at != x.e.at || x.ord != x.e.ord {
-				t.Fatalf("radix entry key (%d,%d) out of sync with its event (%d,%d)", x.at, x.ord, x.e.at, x.e.ord)
+			if x.e == nil || x.e.refs < 1 {
+				t.Fatalf("radix entry (%d,%d) points at a released event", x.at, x.ord)
 			}
 		}
 		n := len(q.run) - q.head + len(q.side)
@@ -103,30 +106,48 @@ func checkQueue(t *testing.T, q eventQueue) {
 // eventZeroed reports whether a released event carries no stale state
 // (funcs are not comparable, so the struct is checked field by field).
 func eventZeroed(e *event) bool {
-	return e.at == 0 && e.ord == 0 && e.call == nil &&
-		e.argA == nil && e.argB == nil && e.nw == nil &&
-		e.from == 0 && e.to == 0 && e.size == 0 && e.msg == nil
+	return e.call == nil && e.argA == nil && e.argB == nil && e.nw == nil &&
+		e.from == 0 && e.size == 0 && e.refs == 0
 }
 
-// queuedSet collects the identity of every live queued event.
-func queuedSet(s *Sim) map[*event]bool {
-	in := make(map[*event]bool, s.q.len())
-	s.q.forEach(func(e *event) { in[e] = true })
+// queuedRefs counts the live queue entries referencing each event.
+func queuedRefs(s *Sim) map[*event]int32 {
+	in := make(map[*event]int32, s.q.len())
+	s.q.forEach(func(x qent) { in[x.e]++ })
 	return in
 }
 
-// checkDisjoint verifies no event sits in both the queue and the pool,
-// and that pooled events are fully zeroed.
+// poolViolation returns why s's queue and pool break the pooling
+// contract, or "" when they keep it: every queued event's count equals
+// its live entries, and every pooled event is zeroed, pooled once, and
+// referenced by no entry.
+func poolViolation(s *Sim) string {
+	inQueue := queuedRefs(s)
+	for e, n := range inQueue {
+		if e.refs != n {
+			return fmt.Sprintf("event count %d but %d live entries", e.refs, n)
+		}
+	}
+	pooled := make(map[*event]bool, len(s.pool))
+	for _, e := range s.pool {
+		switch {
+		case inQueue[e] > 0:
+			return "event present in both queue and free pool"
+		case pooled[e]:
+			return "event released into the pool twice"
+		case !eventZeroed(e):
+			return fmt.Sprintf("released event not zeroed: %+v", *e)
+		}
+		pooled[e] = true
+	}
+	return ""
+}
+
+// checkDisjoint fails the test on any pooling-contract violation.
 func checkDisjoint(t *testing.T, s *Sim) {
 	t.Helper()
-	inQueue := queuedSet(s)
-	for _, e := range s.pool {
-		if inQueue[e] {
-			t.Fatal("event present in both queue and free pool")
-		}
-		if !eventZeroed(e) {
-			t.Fatalf("released event not zeroed: %+v", *e)
-		}
+	if v := poolViolation(s); v != "" {
+		t.Fatal(v)
 	}
 }
 
@@ -275,11 +296,8 @@ func TestPooledEventsNeverObservedAfterRelease(t *testing.T) {
 					}
 				}
 				for s.Step() {
-					inQueue := queuedSet(s)
-					for _, e := range s.pool {
-						if inQueue[e] || !eventZeroed(e) {
-							return false
-						}
+					if poolViolation(s) != "" {
+						return false
 					}
 				}
 				return delivered > 0 && s.Pending() == 0
@@ -302,10 +320,156 @@ func TestPoolReuseBounded(t *testing.T) {
 	seen := make(map[*event]bool)
 	for round := 0; round < 1000; round++ {
 		nw.Send(0, 1, 64, round)
-		s.q.forEach(func(e *event) { seen[e] = true })
+		s.q.forEach(func(x qent) { seen[x.e] = true })
 		s.RunAll(0)
 	}
 	if len(seen) > 4 {
 		t.Fatalf("steady-state cycle touched %d distinct event objects; pooling broken", len(seen))
+	}
+}
+
+// broadcastRecord broadcasts msg from node 0 and returns the delivery
+// record its entries share, failing unless every queued entry of the
+// broadcast points at that one record.
+func broadcastRecord(t *testing.T, s *Sim, nw *Network, msg int) *event {
+	t.Helper()
+	before := queuedRefs(s)
+	nw.Broadcast(0, 64, msg)
+	var rec *event
+	for e, n := range queuedRefs(s) {
+		if before[e] == n {
+			continue
+		}
+		if rec != nil {
+			t.Fatalf("broadcast queued entries against two events")
+		}
+		rec = e
+	}
+	if rec == nil {
+		t.Fatal("broadcast queued nothing")
+	}
+	return rec
+}
+
+// pooledTimes counts the occurrences of e in s's free pool.
+func pooledTimes(s *Sim, e *event) int {
+	n := 0
+	for _, p := range s.pool {
+		if p == e {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSharedRecordReleasedAfterLastPop pins the fan-out pooling contract
+// on the normal path: one broadcast to eight nodes queues eight entries
+// against one record, the record stays out of the pool while any
+// recipient is still to pop, and it enters the pool exactly once, zeroed,
+// when the last one does. Both queues are swept.
+func TestSharedRecordReleasedAfterLastPop(t *testing.T) {
+	for _, qk := range queueKinds {
+		t.Run(qk.name, func(t *testing.T) {
+			s := NewWithQueue(1, qk.kind)
+			nw := NewNetwork(s, 8, NewWAN())
+			got := collect(nw)
+			rec := broadcastRecord(t, s, nw, 1)
+			if rec.refs != 8 || s.Pending() != 8 {
+				t.Fatalf("broadcast to 8 nodes: record count %d, %d entries queued", rec.refs, s.Pending())
+			}
+			for left := int32(7); s.Step(); left-- {
+				checkDisjoint(t, s)
+				if left > 0 && (rec.refs != left || pooledTimes(s, rec) != 0) {
+					t.Fatalf("%d recipients left: record count %d, pooled %d times", left, rec.refs, pooledTimes(s, rec))
+				}
+			}
+			if pooledTimes(s, rec) != 1 || !eventZeroed(rec) {
+				t.Fatalf("record pooled %d times after the last pop (zeroed %v)", pooledTimes(s, rec), eventZeroed(rec))
+			}
+			for i, n := range got {
+				if n != 1 {
+					t.Fatalf("node %d received %d copies", i, n)
+				}
+			}
+		})
+	}
+}
+
+// TestSharedRecordReleasedOnReset pins the contract on Reset with
+// deliveries in flight: several half-delivered broadcasts, plus plain
+// events, are dropped, and every record enters the pool exactly once,
+// zeroed. Both queues are swept.
+func TestSharedRecordReleasedOnReset(t *testing.T) {
+	for _, qk := range queueKinds {
+		t.Run(qk.name, func(t *testing.T) {
+			s := NewWithQueue(2, qk.kind)
+			nw := NewNetwork(s, 6, NewWAN())
+			collect(nw)
+			var recs []*event
+			for i := 0; i < 5; i++ {
+				recs = append(recs, broadcastRecord(t, s, nw, i))
+				s.After(time.Duration(i)*time.Millisecond, func() {})
+			}
+			for i := 0; i < 12; i++ {
+				s.Step()
+			}
+			checkDisjoint(t, s)
+			s.Reset(3)
+			if s.Pending() != 0 {
+				t.Fatalf("%d entries survived Reset", s.Pending())
+			}
+			checkDisjoint(t, s)
+			for i, rec := range recs {
+				if pooledTimes(s, rec) != 1 || !eventZeroed(rec) {
+					t.Fatalf("broadcast %d: record pooled %d times after Reset (zeroed %v)", i, pooledTimes(s, rec), eventZeroed(rec))
+				}
+			}
+		})
+	}
+}
+
+// TestSharedRecordAfterHalt pins the contract across Halt: a recipient
+// halts the engine mid-fan-out, the record keeps exactly the count of the
+// entries still queued and stays out of the pool, and it is pooled
+// exactly once — whether the run then resumes to the end or is Reset.
+func TestSharedRecordAfterHalt(t *testing.T) {
+	for _, qk := range queueKinds {
+		for _, resume := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/resume=%v", qk.name, resume), func(t *testing.T) {
+				s := NewWithQueue(4, qk.kind)
+				nw := NewNetwork(s, 8, FixedModel{D: time.Millisecond})
+				delivered := 0
+				for i := 0; i < 8; i++ {
+					nw.Register(i, func(int, any) {
+						if delivered++; delivered == 3 {
+							s.Halt()
+						}
+					})
+				}
+				rec := broadcastRecord(t, s, nw, 0)
+				s.RunAll(0)
+				if !s.Halted() || delivered != 3 {
+					t.Fatalf("halted %v after %d deliveries, want halt after 3", s.Halted(), delivered)
+				}
+				checkDisjoint(t, s)
+				if rec.refs != 5 || pooledTimes(s, rec) != 0 {
+					t.Fatalf("after Halt: record count %d (want 5), pooled %d times", rec.refs, pooledTimes(s, rec))
+				}
+				if resume {
+					for s.Step() {
+						checkDisjoint(t, s)
+					}
+					if delivered != 8 {
+						t.Fatalf("resumed run delivered %d of 8", delivered)
+					}
+				} else {
+					s.Reset(4)
+				}
+				checkDisjoint(t, s)
+				if pooledTimes(s, rec) != 1 || !eventZeroed(rec) {
+					t.Fatalf("record pooled %d times (zeroed %v)", pooledTimes(s, rec), eventZeroed(rec))
+				}
+			})
+		}
 	}
 }

@@ -20,6 +20,8 @@ import (
 //	7    push operand%200+1 events at one timestamp, ascending ord
 //	8    the same, descending ord
 //	9    NIC spread: operand%50+1 events 2-4 s ahead, ~10 µs apart
+//	10   broadcast: operand%64+1 entries sharing one event, one per
+//	     destination, each 33-290 ms ahead (self-delivery 50 µs ahead)
 //
 // The queue is drained at the end and the full sequences compared.
 func FuzzQueuePopOrder(f *testing.F) {
@@ -31,7 +33,7 @@ func FuzzQueuePopOrder(f *testing.F) {
 		gen := &ordGen{rng: rand.New(rand.NewSource(int64(len(data))))}
 		for i := 0; i+2 < len(data); i += 3 {
 			arg := Time(data[i+1]) | Time(data[i+2])<<8
-			switch op := data[i] % 10; op {
+			switch op := data[i] % 11; op {
 			case 0, 1, 2, 3:
 				p.push(p.clock+arg<<(8*op), gen.next())
 			case 4:
@@ -55,6 +57,15 @@ func FuzzQueuePopOrder(f *testing.F) {
 				for j := 0; j < int(arg%50)+1; j++ {
 					at += Time(10_000 + j*37)
 					p.push(at, gen.next())
+				}
+			case 10:
+				rec, from := &event{}, int(arg>>8)%ordNodeMax
+				for to := 0; to <= int(arg%64); to++ {
+					d := Time(50 * time.Microsecond)
+					if to != from {
+						d = Time(33*time.Millisecond) + Time(uint64(arg)*uint64(to+1)*7919%uint64(257*time.Millisecond))
+					}
+					p.pushShared(rec, p.clock+d, makeOrd(to, from, uint64(i*64+to+1)))
 				}
 			}
 		}
@@ -130,18 +141,18 @@ func newQueueHold(tr queueTrace, q eventQueue) *queueHold {
 	h := &queueHold{q: q, tr: tr, rng: rand.New(rand.NewSource(1))}
 	for ; h.i < tr.pending; h.i++ {
 		d, ord := tr.next(h.rng, h.i)
-		q.push(&event{at: Time(d), ord: ord})
+		q.push(qent{Time(d), ord, &event{}})
 	}
 	return h
 }
 
 func (h *queueHold) step() {
-	e := h.q.pop()
+	x := h.q.pop()
 	d, ord := h.tr.next(h.rng, h.i)
 	h.i++
-	e.at += Time(d)
-	e.ord = ord
-	h.q.push(e)
+	x.at += Time(d)
+	x.ord = ord
+	h.q.push(x)
 }
 
 // BenchmarkQueue times one pop plus one push per op on each regime, for
@@ -169,15 +180,16 @@ func BenchmarkQueue(b *testing.B) {
 	}
 }
 
-// TestEventSize pins the pooled event at 96 bytes on 64-bit platforms:
-// the queue keeps keys inline and no links in the event, which keeps it
-// in the 96-byte size class and a pop's cold reads to two cache lines.
+// TestEventSize pins the pooled event at 64 bytes on 64-bit platforms:
+// keys, destinations and queue links live in the entries, and a delivery
+// carries its message in argA, which keeps the event in the 64-byte size
+// class — one cache line that all of a broadcast's recipients share.
 func TestEventSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(event{}); got != 96 {
-		t.Fatalf("event is %d bytes, want 96", got)
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Fatalf("event is %d bytes, want 64", got)
 	}
 }
 

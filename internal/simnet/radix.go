@@ -12,7 +12,8 @@ import (
 // (at, ord).
 //
 // Every entry carries its (at, ord) key inline next to the event pointer,
-// so ordering work never dereferences a cold event. The time axis is cut
+// so ordering work never dereferences a cold event (or the delivery
+// record a broadcast's entries share). The time axis is cut
 // into windows of 1<<radixWindowShift nanoseconds; base is the window
 // being executed. Entries live in one of three places:
 //
@@ -51,29 +52,7 @@ type radixQueue struct {
 	// buckets[i] holds windows w > base with bits.Len64(w^base) == i+1.
 	buckets [64]radixBucket
 	free    *radixChunk // shared chunk free list, linked through next
-	warm    Time        // sink of take's look-ahead load; never read
-}
-
-// qent is one queued entry: the event's ordering key copied inline.
-type qent struct {
-	at  Time
-	ord uint64
-	e   *event
-}
-
-// less is the scheduler's total order on entries.
-func (a *qent) less(b *qent) bool {
-	return a.at < b.at || a.at == b.at && a.ord < b.ord
-}
-
-func cmpQent(a, b qent) int {
-	switch {
-	case a.less(&b):
-		return -1
-	case b.less(&a):
-		return 1
-	}
-	return 0
+	warm    int32       // sink of take's look-ahead load; never read
 }
 
 // radixBucket is a FIFO list of chunks in push order: every chunk but the
@@ -136,10 +115,9 @@ func (q *radixQueue) len() int { return q.n }
 
 func window(at Time) uint64 { return uint64(at) >> radixWindowShift }
 
-func (q *radixQueue) push(e *event) {
+func (q *radixQueue) push(x qent) {
 	q.n++
-	x := qent{e.at, e.ord, e}
-	if w := window(e.at); w > q.base {
+	if w := window(x.at); w > q.base {
 		q.file(x, w)
 		return
 	}
@@ -324,55 +302,54 @@ func (q *radixQueue) fromRun() bool {
 	return len(q.side) == 0 || q.run[q.head].less(&q.side[0])
 }
 
-func (q *radixQueue) peek() *event {
+func (q *radixQueue) peek() qent {
 	if !q.fill() {
-		return nil
+		return qent{}
 	}
 	if q.fromRun() {
-		return q.run[q.head].e
+		return q.run[q.head]
 	}
-	return q.side[0].e
+	return q.side[0]
 }
 
-func (q *radixQueue) pop() *event {
+func (q *radixQueue) pop() qent {
 	if !q.fill() {
-		return nil
+		return qent{}
 	}
 	return q.take(q.fromRun())
 }
 
-func (q *radixQueue) popLE(until Time) *event {
+func (q *radixQueue) popLE(until Time) qent {
 	if !q.fill() {
-		return nil
+		return qent{}
 	}
 	r := q.fromRun()
 	if r && q.run[q.head].at > until || !r && q.side[0].at > until {
-		return nil
+		return qent{}
 	}
 	return q.take(r)
 }
 
-// take removes and returns the earliest entry's event, which fromRun
-// located.
-func (q *radixQueue) take(fromRun bool) *event {
+// take removes and returns the earliest entry, which fromRun located.
+func (q *radixQueue) take(fromRun bool) qent {
 	q.n--
 	if fromRun {
-		e := q.run[q.head].e
+		x := q.run[q.head]
 		q.head++
 		if q.head+1 < len(q.run) {
 			// Touch the event two pops ahead. Its line has gone cold since
 			// the push; loading it now overlaps that miss with this event's
 			// dispatch instead of stalling a later pop on it.
-			q.warm = q.run[q.head+1].e.at
+			q.warm = q.run[q.head+1].e.refs
 		}
-		return e
+		return x
 	}
-	e := q.side[0].e
+	x := q.side[0]
 	last := len(q.side) - 1
 	q.side[0] = q.side[last]
 	q.side = q.side[:last]
 	q.siftDown(0)
-	return e
+	return x
 }
 
 func (q *radixQueue) siftUp(i int) {
@@ -412,19 +389,20 @@ func (q *radixQueue) siftDown(i int) {
 	h[i] = x
 }
 
-// forEach visits every queued event in unspecified order; fn may zero or
-// release the event (Sim.Reset does), since the keys are held inline.
-func (q *radixQueue) forEach(fn func(*event)) {
+// forEach visits every queued entry in unspecified order; fn may zero or
+// release the entry's event (Sim.Reset does), since the keys are held
+// inline.
+func (q *radixQueue) forEach(fn func(qent)) {
 	for _, x := range q.run[q.head:] {
-		fn(x.e)
+		fn(x)
 	}
 	for _, x := range q.side {
-		fn(x.e)
+		fn(x)
 	}
 	for i := range q.buckets {
 		q.buckets[i].each(func(ents []qent) {
 			for _, x := range ents {
-				fn(x.e)
+				fn(x)
 			}
 		})
 	}

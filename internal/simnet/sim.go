@@ -20,19 +20,28 @@
 // differential property tests compare it against. Both pop in the
 // identical total order (at, ord), so results never depend on the choice.
 //
-// Allocation model: events are pooled. An executed event returns to a free
-// list the moment its callback finishes, and the next At/Send reuses it, so
-// a steady-state simulation allocates no event objects at all. Message
-// deliveries are encoded as event fields rather than closures for the same
-// reason. The pooling contract — an event is owned by the queue until its
-// callback returns and by the pool afterwards, and released events are
-// zeroed — is enforced by the property tests in property_test.go and
-// documented in ARCHITECTURE.md's performance model.
+// Allocation model: events are pooled, and the queue holds entries that
+// point at them. An entry carries its own (at, ord) key; the event holds
+// only what to run. A timer or callback is one event behind one entry. A
+// message is one delivery record — sender, size, payload — shared by the
+// entries of all its recipients: a Broadcast to n nodes allocates one
+// 64-byte record and pushes n 24-byte entries, and the destination of
+// each delivery is read back from its key.
+// The record counts the entries that still reference it; the pop (or
+// Reset) that drops the count to zero zeroes the record and returns it to
+// a free list, and the next At/Send reuses it, so a steady-state
+// simulation allocates no event objects at all. The pooling contract — an
+// event is owned by the queue while any entry references it and by the
+// pool afterwards, it enters the pool exactly once per use, and released
+// events are zeroed — is enforced by the property tests in
+// property_test.go and documented in ARCHITECTURE.md's performance
+// model.
 package simnet
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -48,32 +57,30 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Seconds returns the time in seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// event is one scheduled callback. Exactly one of the two callback forms
-// is set: call (a function pointer with two operands — plain closures and
-// cancellable timers ride in the operands, which hold func and pointer
-// values without boxing allocations) or nw (a network delivery encoded as
-// fields). Events are pooled: Step releases an event back to the
-// simulator's free list after its callback returns, zeroing every field
-// first. The queue keeps its own inline copy of (at, ord) and no links
-// through the event, so the struct is 96 bytes (a 96-byte size class):
-// ordering never touches it, and dispatch reads at most two cache lines.
+// event is what one or more queue entries execute. Exactly one of the two
+// forms is set: call (a function pointer with two operands — plain
+// closures and cancellable timers ride in the operands, which hold func
+// and pointer values without boxing allocations) or nw (a delivery record:
+// message argA of size bytes from node from, delivered to each entry's
+// destination). Events are pooled: refs counts the queue entries that
+// still reference the event, and the pop or Reset that drops it to zero
+// zeroes every field and returns the event to the simulator's free list.
+// Keys, destinations and queue links all live in the entries, so the
+// struct is 64 bytes — one cache line, which a broadcast's recipients
+// share.
 type event struct {
-	at  Time
-	ord uint64
-
 	// Closure-free callback: call(argA, argB). Used for hot-path events
-	// (message deliveries to replicas, client submissions, timer wakeups)
-	// where a closure per event would dominate the allocation profile.
+	// (client submissions, timer wakeups) where a closure per event would
+	// dominate the allocation profile.
 	call       func(a, b any)
 	argA, argB any
 
-	// Network delivery: when nw is non-nil the event delivers msg from ->
-	// to through nw's handler table, re-checking liveness and link state at
-	// delivery time.
-	nw       *Network
-	from, to int32
-	size     int32
-	msg      any
+	// Delivery record: when nw is non-nil the event delivers argA from ->
+	// the entry's destination through nw's handler table, re-checking
+	// liveness and link state at delivery time.
+	nw         *Network
+	from, size int32
+	refs       int32
 }
 
 // The canonical tie-break key. Events at equal virtual times execute in
@@ -128,12 +135,12 @@ func runTimer(a, b any) {
 // construction.
 type QueueKind int
 
-// The two queue implementations. QueueWheel is the default kind and
-// selects the windowed radix queue (radix.go). QueueHeap is the original
-// binary min-heap, retained as the reference implementation for the
-// differential property tests and available for cross-checking runs.
+// The two queue implementations. QueueRadix is the default: the windowed
+// radix queue (radix.go). QueueHeap is the original binary min-heap,
+// retained as the reference implementation for the differential property
+// tests and available for cross-checking runs.
 const (
-	QueueWheel QueueKind = iota
+	QueueRadix QueueKind = iota
 	QueueHeap
 )
 
@@ -163,10 +170,14 @@ type Sim struct {
 	ordCnt   []uint64
 	ordFixed bool
 	kind     QueueKind
-	// route, when set, intercepts events whose destination lives on
+	// route, when set, intercepts entries whose destination lives on
 	// another shard (kernel.go); it returns true when it consumed the
-	// event into an outbox.
-	route  func(e *event, dst int) bool
+	// entry into an outbox.
+	route func(x qent, dst int) bool
+	// fan is Network.fanout's scratch under the sharded kernel: the
+	// delivery record of the current broadcast per destination shard
+	// (nil entries between calls; see Network.SetSharded).
+	fan    []*event
 	events uint64 // total events processed, for accounting
 	halted bool
 }
@@ -174,7 +185,7 @@ type Sim struct {
 // New creates a simulator with a seeded deterministic RNG, backed by the
 // default radix queue.
 func New(seed int64) *Sim {
-	return NewWithQueue(seed, QueueWheel)
+	return NewWithQueue(seed, QueueRadix)
 }
 
 // NewWithQueue creates a simulator backed by the given queue
@@ -194,16 +205,14 @@ func NewWithQueue(seed int64, kind QueueKind) *Sim {
 // Reset returns the simulator to its just-constructed state — clock at
 // zero, no queued events, counters cleared, RNG reseeded — while keeping
 // every arena it has grown: the event free list, queue chunks and
-// scratch buffers all carry over. Queued events are released (zeroed) into
-// the pool, so no references from the previous run survive. A reset Sim
+// scratch buffers all carry over. Queued entries are dropped and their
+// events released (zeroed) into the pool, each exactly once, so no
+// references from the previous run survive. A reset Sim
 // behaves exactly like New(seed): benchmark iterations and RunMany sweeps
 // reuse one simulator per worker instead of re-growing these arenas every
 // run (see cluster.Run).
 func (s *Sim) Reset(seed int64) {
-	s.q.forEach(func(e *event) {
-		*e = event{}
-		s.pool = append(s.pool, e)
-	})
+	s.q.forEach(func(x qent) { s.unref(x.e) })
 	s.q.reset()
 	s.now = 0
 	clear(s.ordCnt)
@@ -234,11 +243,8 @@ func (s *Sim) Pending() int { return s.q.len() }
 // the queue is empty. Real-transport node loops use it to sleep exactly
 // until the next due timer instead of polling the wall clock.
 func (s *Sim) NextAt() (Time, bool) {
-	e := s.q.peek()
-	if e == nil {
-		return 0, false
-	}
-	return e.at, true
+	x := s.q.peek()
+	return x.at, x.e != nil
 }
 
 // alloc takes an event from the pool (or allocates the pool's first use of
@@ -253,13 +259,17 @@ func (s *Sim) alloc() *event {
 	return &event{}
 }
 
-// release zeroes an executed event and returns it to the pool. Zeroing
-// drops references (msg payloads, closures) so the pool never keeps dead
-// objects alive, and makes use-after-release observable: a released event
-// that somehow re-entered the queue would order at (0, 0).
-func (s *Sim) release(e *event) {
-	*e = event{}
-	s.pool = append(s.pool, e)
+// unref drops one queue entry's reference to e. The last one zeroes the
+// event and returns it to the pool. Zeroing drops references (msg
+// payloads, closures) so the pool never keeps dead objects alive, and
+// makes use-after-release observable: a released event has no callback
+// and a zero count.
+func (s *Sim) unref(e *event) {
+	e.refs--
+	if e.refs == 0 {
+		*e = event{}
+		s.pool = append(s.pool, e)
+	}
 }
 
 // nextCnt returns the next per-source schedule count for src (packed as
@@ -287,10 +297,10 @@ func (s *Sim) nextCnt(src int) uint64 {
 	return s.ordCnt[idx]
 }
 
-// schedule stamps (at, ord) onto e for destination affinity dst and source
-// src, and pushes it on the queue, clamping past times to now. When a
-// shard router is installed and dst lives on another shard, the event is
-// diverted to that shard's inbox instead (kernel.go).
+// schedule pushes an entry for e keyed (at, ord) for destination affinity
+// dst and source src, clamping past times to now, and counts the entry
+// against e. When a shard router is installed and dst lives on another
+// shard, the entry is diverted to that shard's inbox instead (kernel.go).
 func (s *Sim) schedule(e *event, t Time, dst, src int) {
 	if t < s.now {
 		t = s.now
@@ -298,12 +308,12 @@ func (s *Sim) schedule(e *event, t Time, dst, src int) {
 	if dst > ordNodeMax || dst < NodeNone {
 		panic(fmt.Sprintf("simnet: node %d outside the schedulable range [-1,%d]", dst, ordNodeMax))
 	}
-	e.at = t
-	e.ord = makeOrd(dst, src, s.nextCnt(src))
-	if s.route != nil && s.route(e, dst) {
+	e.refs++
+	x := qent{t, makeOrd(dst, src, s.nextCnt(src)), e}
+	if s.route != nil && s.route(x, dst) {
 		return
 	}
-	s.q.push(e)
+	s.q.push(x)
 }
 
 // At schedules fn at absolute virtual time t (clamped to now) with the
@@ -372,30 +382,31 @@ func (s *Sim) AfterTimerNode(dst int, d Duration, fn func()) *Timer {
 
 // Step executes the next event. It returns false when the queue is empty.
 func (s *Sim) Step() bool {
-	e := s.q.pop()
-	if e == nil {
+	x := s.q.pop()
+	if x.e == nil {
 		return false
 	}
-	s.now = e.at
-	s.events++
-	s.dispatch(e)
-	s.release(e)
+	s.exec(x)
 	return true
 }
 
-// dispatch runs an event's callback with s.cur set to the event's
-// affinity, so everything the callback schedules is stamped with the
-// correct canonical source. The event is still owned by the caller
-// (Step), which releases it afterwards; callbacks never see the event
-// itself, so they cannot retain it past release.
-func (s *Sim) dispatch(e *event) {
-	s.cur, s.curOrd = ordDst(e.ord), e.ord
+// exec advances the clock to a popped entry and runs its event with s.cur
+// set to the entry's affinity, so everything the callback schedules is
+// stamped with the correct canonical source; a delivery goes to that
+// affinity. It then drops the entry's reference. Callbacks never see the
+// event itself, so they cannot retain it past release.
+func (s *Sim) exec(x qent) {
+	s.now = x.at
+	s.events++
+	dst, e := ordDst(x.ord), x.e
+	s.cur, s.curOrd = dst, x.ord
 	if e.nw != nil {
-		e.nw.deliver(int(e.from), int(e.to), int(e.size), e.msg)
+		e.nw.deliver(int(e.from), dst, int(e.size), e.argA)
 	} else if e.call != nil {
 		e.call(e.argA, e.argB)
 	}
 	s.cur, s.curOrd = NodeNone, 0
+	s.unref(e)
 }
 
 // ExecOrd returns the canonical key of the currently executing event (0
@@ -418,14 +429,11 @@ func (s *Sim) Halted() bool { return s.halted }
 // conditional pop, probing the queue once per event.
 func (s *Sim) Run(until Time) {
 	for !s.halted {
-		e := s.q.popLE(until)
-		if e == nil {
+		x := s.q.popLE(until)
+		if x.e == nil {
 			break
 		}
-		s.now = e.at
-		s.events++
-		s.dispatch(e)
-		s.release(e)
+		s.exec(x)
 	}
 	if s.now < until && !s.halted {
 		s.now = until
@@ -521,7 +529,10 @@ type Network struct {
 	// Send reads the clock of — and schedules through — the sender's sim,
 	// so the same Network serves both the serial loop and the sharded
 	// kernel.
-	sims     []*Sim
+	sims []*Sim
+	// shard maps each node to its dense shard index when sims is set (the
+	// index into the sending Sim's fan scratch).
+	shard    []int32
 	model    LatencyModel
 	handlers []Handler
 	// Latency fast path: when the model is a *GeoModel, the per-link base
@@ -816,39 +827,72 @@ func (nw *Network) serTime(size int) Time {
 // With the NIC model enabled, the message first queues on the sender's
 // egress link, propagates, then queues on the receiver's ingress link.
 // Self-sends are delivered with the model's local delay. The delivery is
-// scheduled as a pooled field-encoded event, not a closure: one Send
-// allocates nothing once the simulator's event pool is warm.
-func (nw *Network) Send(from, to, size int, msg any) {
-	if nw.down[from] || nw.down[to] || nw.LinkBlocked(from, to) {
+// scheduled as a pooled delivery record, not a closure: one Send
+// allocates nothing once the simulator's event pool is warm. Send is the
+// one-recipient case of Broadcast.
+func (nw *Network) Send(from, to, size int, msg any) { nw.fanout(from, to, to+1, size, msg) }
+
+// Broadcast sends msg from -> every node including the sender itself
+// (protocols typically self-deliver). The recipients share one pooled
+// delivery record (one per destination shard under the sharded kernel)
+// and each gets only a queue entry, so an all-to-all phase costs one
+// record per sender rather than one event per message.
+func (nw *Network) Broadcast(from, size int, msg any) {
+	nw.fanout(from, 0, len(nw.handlers), size, msg)
+}
+
+// fanout sends msg from -> each node in [lo, hi), taking every liveness,
+// link and drop check, RNG draw, jitter draw and schedule count in
+// recipient order — exactly the sequence of one Send per recipient — and
+// pushing one entry per surviving recipient against a shared delivery
+// record. Under the sharded kernel the record is per destination shard:
+// a record's count is then only ever written by the shard that pops its
+// entries.
+func (nw *Network) fanout(from, lo, hi, size int, msg any) {
+	if nw.down[from] {
 		return
 	}
 	sim := nw.simFor(from)
-	if nw.dropRate > 0 && sim.rng.Float64() < nw.dropRate {
-		return
+	var rec *event
+	for to := lo; to < hi; to++ {
+		if nw.down[to] || nw.LinkBlocked(from, to) {
+			continue
+		}
+		if nw.dropRate > 0 && sim.rng.Float64() < nw.dropRate {
+			continue
+		}
+		at := nw.arrival(sim, from, to, size)
+		slot := &rec
+		if nw.shard != nil {
+			slot = &sim.fan[nw.shard[to]]
+		}
+		if *slot == nil {
+			e := sim.alloc()
+			e.nw, e.from, e.size, e.argA = nw, int32(from), int32(size), msg
+			*slot = e
+		}
+		sim.schedule(*slot, at, to, from)
 	}
+	if nw.shard != nil {
+		clear(sim.fan)
+	}
+}
+
+// arrival samples the delivery time of a size-byte message from -> to sent
+// now on sim: the modeled delay, plus egress and ingress queueing when the
+// NIC model is enabled (self-sends bypass the NIC).
+func (nw *Network) arrival(sim *Sim, from, to, size int) Time {
 	prop := nw.Delay(from, to, size)
-	var deliverAt Time
-	if nw.nicBps > 0 && from != to {
-		ser := nw.serTime(size)
-		start := sim.now
-		if nw.egressFree[from] > start {
-			start = nw.egressFree[from]
-		}
-		sent := start + ser
-		nw.egressFree[from] = sent
-		arrive := sent + Time(prop)
-		recvStart := arrive
-		if nw.ingressFree[to] > recvStart {
-			recvStart = nw.ingressFree[to]
-		}
-		deliverAt = recvStart + ser
-		nw.ingressFree[to] = deliverAt
-	} else {
-		deliverAt = sim.now + Time(prop)
+	if nw.nicBps <= 0 || from == to {
+		return sim.now + Time(prop)
 	}
-	e := sim.alloc()
-	e.nw, e.from, e.to, e.size, e.msg = nw, int32(from), int32(to), int32(size), msg
-	sim.schedule(e, deliverAt, to, from)
+	ser := nw.serTime(size)
+	start := max(sim.now, nw.egressFree[from])
+	sent := start + ser
+	nw.egressFree[from] = sent
+	deliverAt := max(sent+Time(prop), nw.ingressFree[to]) + ser
+	nw.ingressFree[to] = deliverAt
+	return deliverAt
 }
 
 // simFor returns the simulator that executes node's events: the node's
@@ -860,8 +904,9 @@ func (nw *Network) simFor(node int) *Sim {
 	return nw.sim
 }
 
-// SetSharded installs the node -> shard-simulator map (kernel.go). The
-// NIC model and message dropping read and mutate cross-node state at send
+// SetSharded installs the node -> shard-simulator map (kernel.go) and
+// sizes each shard's broadcast scratch to one record per shard. The NIC
+// model and message dropping read and mutate cross-node state at send
 // time, so both are serial-only; the kernel's validation rejects them
 // before ever getting here, and this panics as a backstop.
 func (nw *Network) SetSharded(sims []*Sim) {
@@ -870,6 +915,18 @@ func (nw *Network) SetSharded(sims []*Sim) {
 	}
 	if len(sims) != len(nw.handlers) {
 		panic(fmt.Sprintf("simnet: shard map covers %d of %d nodes", len(sims), len(nw.handlers)))
+	}
+	var distinct []*Sim
+	nw.shard = make([]int32, len(sims))
+	for node, s := range sims {
+		i := slices.Index(distinct, s)
+		if i < 0 {
+			i, distinct = len(distinct), append(distinct, s)
+		}
+		nw.shard[node] = int32(i)
+	}
+	for _, s := range distinct {
+		s.fan = make([]*event, len(distinct))
 	}
 	nw.sims = sims
 }
@@ -900,7 +957,7 @@ func (nw *Network) MinCrossBase(shardOf []int) Duration {
 }
 
 // deliver lands a message at its destination, re-checking liveness and
-// link state at delivery time (Step dispatches queued deliveries here).
+// link state at delivery time (exec dispatches queued deliveries here).
 func (nw *Network) deliver(from, to, size int, msg any) {
 	if nw.down[to] || nw.LinkBlocked(from, to) || nw.handlers[to] == nil {
 		return
@@ -908,12 +965,4 @@ func (nw *Network) deliver(from, to, size int, msg any) {
 	nw.msgsN[to]++
 	nw.bytesN[to] += uint64(size)
 	nw.handlers[to](from, msg)
-}
-
-// Broadcast sends msg from -> every node including the sender itself
-// (protocols typically self-deliver).
-func (nw *Network) Broadcast(from, size int, msg any) {
-	for to := range nw.handlers {
-		nw.Send(from, to, size, msg)
-	}
 }
