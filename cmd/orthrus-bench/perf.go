@@ -192,27 +192,18 @@ func perfConfig(protocol string, n int, tier string) orthrus.Config {
 	return orthrus.NewConfig(opts...)
 }
 
-// measureCell runs one cell warm and reads the allocation counters around
-// it: a first, unmeasured run grows the reused simulator's arenas to this
-// cell's own needs, so the measured run's allocs/op does not depend on
-// which cell ran before it (runs are deterministic, so the measured
-// iteration measures the cell exactly, and it must agree with the
-// warm-up on its event count). Kernel-pair cells run a third time under
-// the parallel kernel; the serial and parallel results must agree
-// bit-for-bit on every measurement — the perf harness doubles as a
-// deployment-level determinism check — and the cell records the parallel
-// timing columns. runner is injected for tests.
+// measureCell runs one cell once (runs are deterministic, so a single
+// iteration measures the cell exactly) and reads the allocation counters
+// around it. The run starts from a fresh simulator, so allocs/op counts
+// the cell's own arena growth and does not depend on which cell ran
+// before it. Kernel-pair cells run a second time under the parallel
+// kernel; the two results must agree bit-for-bit on every measurement —
+// the perf harness doubles as a deployment-level determinism check — and
+// the cell records the parallel timing columns. runner is injected for
+// tests.
 func measureCell(p perfPoint, runner func(orthrus.Config) (*orthrus.Result, error)) (perfCell, error) {
 	cfg := perfConfig(p.protocol, p.n, p.tier)
-	warm, err := runner(cfg)
-	if err != nil {
-		return perfCell{}, err
-	}
-	// Keep only the warm-up's event count: its Result (ledger state
-	// included) is garbage from here on, and the measured run neither
-	// marks it nor pays to collect it.
-	warmEvents := warm.SimEvents
-	runtime.GC()
+	orthrus.ReleaseSimulators()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -221,10 +212,6 @@ func measureCell(p perfPoint, runner func(orthrus.Config) (*orthrus.Result, erro
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		return perfCell{}, err
-	}
-	if res.SimEvents != warmEvents {
-		return perfCell{}, fmt.Errorf("rerun of %s/n=%d diverged from its warm-up: %d vs %d events",
-			p.protocol, p.n, res.SimEvents, warmEvents)
 	}
 	cell := perfCell{
 		Protocol:    p.protocol,

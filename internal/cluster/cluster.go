@@ -456,6 +456,20 @@ func returnSim(sim *simnet.Sim) {
 	simFree.Unlock()
 }
 
+// ReleaseSims empties the simulator free list, handing the kept
+// simulators' event pools, queue chunks and arenas to the garbage
+// collector; the next Run builds a fresh simulator and grows it from
+// empty. Results do not depend on it (the determinism contract). A
+// caller measuring one run's allocations calls it first, so the count
+// includes the run's own arena growth and does not depend on how large
+// a simulator the runs before it left behind.
+func ReleaseSims() {
+	simFree.Lock()
+	clear(simFree.sims)
+	simFree.sims = simFree.sims[:0]
+	simFree.Unlock()
+}
+
 // Run executes one experiment and returns its measurements.
 func Run(cfg Config) *Result {
 	cfg = cfg.withDefaults()

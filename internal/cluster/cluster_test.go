@@ -231,8 +231,8 @@ func TestConfigLabelDisambiguates(t *testing.T) {
 
 // TestSimFreeList pins the simulator free list behind cluster.Run: a
 // returned simulator is the next one taken (warm reuse, whatever the
-// goroutine), concurrent runs never share one, and at most GOMAXPROCS
-// are kept.
+// goroutine), concurrent runs never share one, at most GOMAXPROCS are
+// kept, and ReleaseSims empties the list.
 func TestSimFreeList(t *testing.T) {
 	a := takeSim(1)
 	returnSim(a)
@@ -272,5 +272,14 @@ func TestSimFreeList(t *testing.T) {
 	simFree.Unlock()
 	if kept > runtime.GOMAXPROCS(0) {
 		t.Fatalf("free list keeps %d simulators, cap GOMAXPROCS=%d", kept, runtime.GOMAXPROCS(0))
+	}
+	// ReleaseSims empties the list: the next run gets a fresh simulator.
+	c := takeSim(3)
+	returnSim(c)
+	ReleaseSims()
+	if d := takeSim(4); d == c || d.Seed() != 4 {
+		t.Fatalf("released simulator reused (same=%v) or fresh one misseeded (seed %d)", d == c, d.Seed())
+	} else {
+		returnSim(d)
 	}
 }

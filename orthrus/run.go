@@ -15,6 +15,15 @@ func Run(ctx context.Context, opts ...Option) (*Result, error) {
 	return NewConfig(opts...).Run(ctx)
 }
 
+// ReleaseSimulators drops the warm simulators that Run and RunMany keep
+// for reuse (at most GOMAXPROCS of them, each holding the event pool and
+// arenas its largest run grew), so the garbage collector can reclaim
+// them; the next run starts from a fresh simulator. Results never depend
+// on it. Call it after a large run to give its memory back, or before a
+// run whose allocations are measured, so the count covers the run's own
+// growth and not what earlier runs left behind.
+func ReleaseSimulators() { cluster.ReleaseSims() }
+
 // Run validates the configuration and executes it. Invalid configurations
 // return an error wrapping ErrInvalidConfig without running anything. A
 // cancellable ctx is polled every 0.5 s of virtual time; on cancellation
